@@ -1,6 +1,6 @@
 //! The bundled-workload sweep: every guest workload under every
 //! mechanism, enumerated in one fixed order so `ras-lint --workloads`,
-//! the CI lint job, and the benchmark trajectory all analyze the same
+//! the CI lint job, and the `ras-bench` benchmark all analyze the same
 //! target list and their outputs stay comparable run to run.
 
 use ras_guest::workloads::{

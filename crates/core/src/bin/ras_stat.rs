@@ -22,15 +22,14 @@
 //! * `--out PATH` — write to a file instead of stdout
 //! * `--check` — validate the JSON snapshot against the `ras-stat-v1`
 //!   schema and print a one-line summary
-//! * `--overhead-gate RATIO` — additionally run the same workload with
-//!   telemetry off (interleaved best of 5 each) and fail if
-//!   enabled/disabled wall time exceeds RATIO
 //!
-//! Exit codes: `0` success, `1` validation or gate failure, `2` usage
-//! error.
+//! Telemetry overhead is measured by `ras-bench` (`obs.telemetry_overhead`
+//! in its traced run), not here.
+//!
+//! Exit codes: `0` success, `1` lost updates or validation failure, `2`
+//! usage error.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
 use ras_core::{run_guest_keeping_kernel, Mechanism, Observe, RunOptions};
 use ras_guest::workloads::{lock_addresses, lock_server, Arrival, LockServerSpec};
@@ -44,7 +43,6 @@ struct Options {
     format: String,
     out: Option<String>,
     check: bool,
-    overhead_gate: Option<f64>,
 }
 
 fn parse_args(mut args: std::env::Args) -> Result<Options, String> {
@@ -55,7 +53,6 @@ fn parse_args(mut args: std::env::Args) -> Result<Options, String> {
         format: "table".to_owned(),
         out: None,
         check: false,
-        overhead_gate: None,
     };
     args.next(); // program name
     while let Some(arg) = args.next() {
@@ -119,13 +116,6 @@ fn parse_args(mut args: std::env::Args) -> Result<Options, String> {
             }
             "--out" => opts.out = Some(value("--out")?),
             "--check" => opts.check = true,
-            "--overhead-gate" => {
-                opts.overhead_gate = Some(
-                    value("--overhead-gate")?
-                        .parse()
-                        .map_err(|e| format!("--overhead-gate: {e}"))?,
-                );
-            }
             other => return Err(format!("unknown option `{other}`")),
         }
     }
@@ -142,13 +132,13 @@ fn pick_profile(mechanism: Mechanism) -> CpuProfile {
     unreachable!("every mechanism runs on at least one profile");
 }
 
-fn run_options(opts: &Options, telemetry_locks: Option<Vec<u32>>) -> RunOptions {
+fn run_options(opts: &Options, watch: Vec<u32>) -> RunOptions {
     RunOptions {
         quantum: opts.quantum,
         observe: Observe::Off,
         max_threads: opts.spec.clients + 2,
         stack_bytes: stack_bytes_for(opts.spec.clients),
-        telemetry_locks,
+        telemetry_locks: Some(watch),
         ..RunOptions::new(pick_profile(opts.mechanism))
     }
 }
@@ -187,40 +177,7 @@ fn main() -> ExitCode {
     let built = lock_server(opts.mechanism, &opts.spec);
     let watch = lock_addresses(&built, &opts.spec);
 
-    if let Some(gate) = opts.overhead_gate {
-        // Best-of-5 wall time with and without telemetry. The arms are
-        // interleaved — disabled, enabled, disabled, … — so host clock
-        // drift (frequency scaling, thermal throttling) cannot
-        // systematically penalize whichever arm runs later; the minimum
-        // over repeats then filters scheduler noise.
-        let wall = |telemetry: Option<&[u32]>| {
-            let options = run_options(&opts, telemetry.map(<[u32]>::to_vec));
-            let start = Instant::now();
-            let _ = run_guest_keeping_kernel(&built, &options);
-            start.elapsed().as_secs_f64()
-        };
-        let (mut disabled, mut enabled) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..5 {
-            disabled = disabled.min(wall(None));
-            enabled = enabled.min(wall(Some(&watch)));
-        }
-        let ratio = if disabled > 0.0 {
-            enabled / disabled
-        } else {
-            1.0
-        };
-        println!(
-            "overhead: disabled {:.3} ms, enabled {:.3} ms, ratio {ratio:.3} (gate {gate:.2})",
-            disabled * 1e3,
-            enabled * 1e3
-        );
-        if ratio > gate {
-            eprintln!("ras-stat: telemetry overhead ratio {ratio:.3} exceeds gate {gate:.2}");
-            return ExitCode::from(1);
-        }
-    }
-
-    let options = run_options(&opts, Some(watch.clone()));
+    let options = run_options(&opts, watch);
     let (report, mut kernel) = run_guest_keeping_kernel(&built, &options);
     // Correctness first: the per-lock operation counters must account
     // for every client operation.

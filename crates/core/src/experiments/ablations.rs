@@ -252,6 +252,66 @@ pub fn render_instruction_mix(rows: &[MixRow]) -> String {
     t.to_string()
 }
 
+/// Runs every ablation at report scale and renders its table: the
+/// quantum sweep, the check placement, the recovery home and the
+/// instruction mix.
+pub fn render_ablations() -> String {
+    let mut out = render_quantum_sweep(
+        Mechanism::RasInline,
+        &quantum_sweep(
+            Mechanism::RasInline,
+            &[50, 200, 1_000, 10_000, 250_000],
+            30_000,
+        ),
+    );
+
+    let mut t = AsciiTable::new(
+        "Ablation: PC check at suspend (Mach) vs at resume (Taos)",
+        &["Mechanism", "Check", "Cycles", "Restarts"],
+    );
+    for mechanism in [Mechanism::RasRegistered, Mechanism::RasInline] {
+        for row in check_time_comparison(mechanism, 30_000) {
+            t.row(vec![
+                row.mechanism.id().to_owned(),
+                format!("{:?}", row.check),
+                row.cycles.to_string(),
+                row.restarts.to_string(),
+            ]);
+        }
+    }
+    out.push('\n');
+    out.push_str(&t.to_string());
+
+    let mut t = AsciiTable::new(
+        "Ablation: recovery in the kernel vs at user level (§4.1)",
+        &["Mechanism", "µs/op", "Kernel cycles", "Recovery events"],
+    );
+    for row in recovery_home_comparison(30_000) {
+        t.row(vec![
+            row.mechanism.id().to_owned(),
+            format!("{:.3}", row.us_per_op),
+            row.kernel_cycles.to_string(),
+            row.recovery_events.to_string(),
+        ]);
+    }
+    out.push('\n');
+    out.push_str(&t.to_string());
+
+    let mix = instruction_mix(
+        &[
+            Mechanism::RasInline,
+            Mechanism::RasRegistered,
+            Mechanism::KernelEmulation,
+            Mechanism::LamportPerLock,
+            Mechanism::LamportBundled,
+        ],
+        20_000,
+    );
+    out.push('\n');
+    out.push_str(&render_instruction_mix(&mix));
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,5 +394,19 @@ mod tests {
         let sweep = quantum_sweep(Mechanism::RasInline, &[100], 500);
         let text = render_quantum_sweep(Mechanism::RasInline, &sweep);
         assert!(text.contains("100"));
+    }
+
+    #[test]
+    fn ablation_report_has_every_table() {
+        let text = render_ablations();
+        for title in [
+            "restart behavior vs preemption quantum",
+            "PC check at suspend (Mach) vs at resume (Taos)",
+            "recovery in the kernel vs at user level",
+            "retired instructions per critical section",
+        ] {
+            assert!(text.contains(title), "missing {title}");
+        }
+        assert!(text.contains("user-level") && text.contains("lamport-b"));
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Each `tableN` function executes the corresponding experiment on the
 //! simulator and returns typed rows carrying both the measured value and
-//! the paper's published value, so callers (the `ras-bench` harness,
-//! EXPERIMENTS.md generation, and the shape-assertion tests) can compare
+//! the paper's published value, so callers (the `tables` binary, the
+//! `ras-bench` benchmark, and the shape-assertion tests) can compare
 //! them. `render_tableN` produces the paper-style ASCII table.
 
 pub mod ablations;

@@ -1,5 +1,4 @@
 use ras_guest::BuiltGuest;
-use ras_isa::Opcode;
 use ras_kernel::{CheckTime, Kernel, KernelStats, Outcome};
 use ras_machine::{CpuProfile, EngineKind, PagingConfig};
 use ras_obs::{Metrics, TranslationCounters};
@@ -112,9 +111,6 @@ pub struct RunReport {
     /// Observability metrics, present when [`RunOptions::observe`] was
     /// not [`Observe::Off`].
     pub metrics: Option<Metrics>,
-    /// Per-opcode retirement counts indexed by [`Opcode`]'s dense code,
-    /// present when [`RunOptions::collect_mix`] was set.
-    pub mix: Option<[u64; Opcode::COUNT]>,
     /// Translation-tier counters, present when [`RunOptions::engine`] was
     /// [`EngineKind::Translated`].
     pub translation: Option<TranslationCounters>,
@@ -197,9 +193,6 @@ pub fn run_guest_keeping_kernel(built: &BuiltGuest, options: &RunOptions) -> (Ru
         instructions: kernel.machine().instructions_retired(),
         stats: *kernel.stats(),
         metrics: kernel.recording().map(|r| r.metrics().clone()),
-        mix: options
-            .collect_mix
-            .then(|| kernel.machine().instruction_mix()),
         translation: kernel.translation_stats().map(TranslationCounters::from),
     };
     (report, kernel)

@@ -375,8 +375,8 @@ impl CheckpointCounters {
 /// The translation tier's counters, in the same shape the other
 /// observability counters use. These come from the machine's
 /// [`ras_machine::TranslationStats`] (host-side compilation mechanics,
-/// invisible to the simulated architecture), so this is a plain carrier
-/// with a renderer.
+/// invisible to the simulated architecture), so this is a plain
+/// carrier.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TranslationCounters {
     /// Basic blocks discovered as trace-head candidates.
@@ -415,33 +415,6 @@ impl From<ras_machine::TranslationStats> for TranslationCounters {
     }
 }
 
-impl TranslationCounters {
-    /// The compact text section, matching [`Metrics::render`]'s layout.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "translation tier");
-        let mut line = |k: &str, v: String| {
-            let _ = writeln!(s, "  {k:<28} {v}");
-        };
-        line("blocks discovered", self.blocks_discovered.to_string());
-        line("blocks compiled", self.blocks_compiled.to_string());
-        line("block entries", self.block_entries.to_string());
-        line(
-            "translated instructions",
-            self.translated_instructions.to_string(),
-        );
-        line("translated cycles", self.translated_cycles.to_string());
-        line(
-            "interpreted instructions",
-            self.interpreted_instructions.to_string(),
-        );
-        line("interpreted cycles", self.interpreted_cycles.to_string());
-        line("deopts", self.deopts.to_string());
-        line("invalidations", self.invalidations.to_string());
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,7 +442,7 @@ mod tests {
     }
 
     #[test]
-    fn translation_counters_convert_and_render_every_field() {
+    fn translation_counters_convert_every_field() {
         let s = ras_machine::TranslationStats {
             blocks_discovered: 9,
             blocks_compiled: 3,
@@ -485,23 +458,19 @@ mod tests {
         };
         let tc = TranslationCounters::from(s);
         assert_eq!(tc.deopts, 7, "deopt reasons sum into one counter");
-        let text = tc.render();
-        for needle in [
-            "translation tier",
-            "blocks discovered",
-            "blocks compiled",
-            "block entries",
-            "translated instructions",
-            "translated cycles",
-            "interpreted instructions",
-            "interpreted cycles",
-            "deopts",
-            "invalidations",
-            "5000",
-            "41",
-        ] {
-            assert!(text.contains(needle), "missing {needle} in:\n{text}");
-        }
+        assert_eq!(
+            (tc.blocks_discovered, tc.blocks_compiled, tc.block_entries),
+            (9, 3, 41)
+        );
+        assert_eq!(
+            (tc.translated_instructions, tc.translated_cycles),
+            (5000, 5100)
+        );
+        assert_eq!(
+            (tc.interpreted_instructions, tc.interpreted_cycles),
+            (77, 80)
+        );
+        assert_eq!(tc.invalidations, 1);
     }
 
     fn feed(metrics: &mut Metrics, events: &[(u64, ObsEvent)]) {
