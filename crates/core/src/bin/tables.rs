@@ -12,13 +12,26 @@
 //! workload), and the ablations of the design choices (quantum sweep,
 //! check placement, recovery home, instruction mix).
 //!
+//! Any other argument is a usage error (exit 2), so a misspelled flag in
+//! a script fails instead of printing the default tables.
+//!
 //! Host timings of the reproduction are measured by `ras-bench`
 //! (`benchmark/`), not here.
 
 fn main() {
-    let figures = std::env::args().any(|a| a == "--figures");
-    let verify = std::env::args().any(|a| a == "--verify");
-    let metrics = std::env::args().any(|a| a == "--metrics");
+    let (mut figures, mut verify, mut metrics) = (false, false, false);
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--figures" => figures = true,
+            "--verify" => verify = true,
+            "--metrics" => metrics = true,
+            other => {
+                eprintln!("tables: unknown option: {other}");
+                eprintln!("usage: tables [--figures] [--verify] [--metrics]");
+                std::process::exit(2);
+            }
+        }
+    }
     if metrics {
         let rows =
             ras_core::experiments::rollback_table(&ras_core::experiments::RollbackScale::default());

@@ -415,9 +415,65 @@ fn thread_state_words(state: &ThreadState) -> (u64, u64) {
     }
 }
 
-/// FNV-1a hash of the scheduler-relevant state: thread register files and
-/// states, queue order, shared data, and the i860 restart bit. Clocks and
-/// statistics are excluded so spin iterations hash identically.
+/// Lanes of [`LaneHash`]: four independent multiply chains, so the
+/// machine overlaps their multiplies instead of waiting on one.
+const LANES: usize = 4;
+
+/// A multi-lane word hash. Word `k` of each [`LaneHash::absorb`] goes to
+/// lane `k`, whose step ([`fold_word`]) is a bijection of both the lane
+/// and the word, so any single-word difference survives to
+/// [`LaneHash::finish`]. That merges the lanes and ends with the
+/// splitmix64 finalizer, which spreads every input bit over every output
+/// bit — [`PathSet`] takes its slot from the low bits.
+struct LaneHash([u64; LANES]);
+
+impl LaneHash {
+    fn new() -> LaneHash {
+        LaneHash([
+            0xcbf2_9ce4_8422_2325,
+            0x9E37_79B9_7F4A_7C15,
+            0xD6E8_FEB8_6659_FD93,
+            0xA076_1D64_78BD_642F,
+        ])
+    }
+
+    /// Absorbs four words, one per lane.
+    #[inline(always)]
+    fn absorb(&mut self, words: [u64; LANES]) {
+        for (lane, word) in self.0.iter_mut().zip(words) {
+            *lane = fold_word(*lane, word);
+        }
+    }
+
+    fn finish(self) -> u64 {
+        let [a, b, c, d] = self.0;
+        splitmix64(fold_word(fold_word(fold_word(a, b), c), d))
+    }
+}
+
+/// One lane step: xor the word in, multiply by an odd constant (spreads
+/// low bits upward) and rotate (brings high bits down for the next
+/// multiply).
+#[inline(always)]
+fn fold_word(lane: u64, word: u64) -> u64 {
+    (lane ^ word)
+        .wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
+        .rotate_left(31)
+}
+
+/// The splitmix64 finalizer: a bijection whose every output bit depends
+/// on every input bit.
+fn splitmix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Hash of the scheduler-relevant state: each thread's pc, register
+/// file (packed two registers per word), state, rseq registration and
+/// index; the current thread; the ready order; shared data; and the i860
+/// restart pc. Clocks and statistics are excluded so spin iterations
+/// hash identically.
 ///
 /// The shared-data term folds in the machine's running memory
 /// fingerprint when dirty tracking is on — O(1) instead of a scan per
@@ -425,40 +481,52 @@ fn thread_state_words(state: &ThreadState) -> (u64, u64) {
 /// by scanning, so hashes are identical across the two modes by
 /// construction (same XOR-fold over the same words).
 fn state_hash(kernel: &Kernel) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
+    let mut h = LaneHash::new();
     for i in 0..kernel.thread_count() {
         let t = ThreadId(i as u32);
         let regs = kernel.thread_regs(t);
-        mix(u64::from(regs.pc()));
-        for &g in regs.gprs() {
-            mix(u64::from(g));
+        for quad in regs.gprs().chunks_exact(2 * LANES) {
+            h.absorb(std::array::from_fn(|k| {
+                u64::from(quad[2 * k]) | (u64::from(quad[2 * k + 1]) << 32)
+            }));
         }
         let (discriminant, payload) = thread_state_words(kernel.thread_state(t));
-        mix(discriminant);
-        mix(payload);
-        // rseq registration is kernel-side per-thread state: two states
-        // identical in registers and memory but differing in whether a
-        // thread has a registered area behave differently at the next
-        // preemption, so they must not fuse into one hash.
-        mix(kernel.thread_rseq_area(t).map_or(u64::MAX, u64::from));
+        h.absorb([
+            u64::from(regs.pc()) | (u64::from(t.0) << 32),
+            discriminant,
+            payload,
+            // rseq registration is kernel-side per-thread state: two
+            // states identical in registers and memory but differing in
+            // whether a thread has a registered area behave differently
+            // at the next preemption, so they must not fuse into one hash.
+            kernel.thread_rseq_area(t).map_or(u64::MAX, u64::from),
+        ]);
     }
-    mix(kernel.current_thread().map_or(u64::MAX, |t| u64::from(t.0)));
-    for t in kernel.ready_iter() {
-        mix(u64::from(t.0) | 0x100);
+    // The ready queue, four entries per absorb. The tag bit keeps every
+    // entry nonzero, so the zero padding of the last quad is unambiguous.
+    let mut ready = [0; LANES];
+    for (n, t) in kernel.ready_iter().enumerate() {
+        ready[n % LANES] = u64::from(t.0) | 0x100;
+        if n % LANES == LANES - 1 {
+            h.absorb(std::mem::take(&mut ready));
+        }
     }
+    h.absorb(ready);
     let data_end = kernel.data_end();
-    mix(kernel
-        .memory_fingerprint()
-        .unwrap_or_else(|| kernel.machine().mem().fingerprint_scan(data_end)));
-    mix(kernel
-        .machine()
-        .atomic_restart_pc()
-        .map_or(u64::MAX - 1, u64::from));
-    h
+    h.absorb([
+        kernel.current_thread().map_or(u64::MAX, |t| u64::from(t.0)),
+        kernel
+            .memory_fingerprint()
+            .unwrap_or_else(|| kernel.machine().mem().fingerprint_scan(data_end)),
+        kernel
+            .machine()
+            .atomic_restart_pc()
+            .map_or(u64::MAX - 1, u64::from),
+        // Fills the quad, and ends the variable-length record list
+        // unambiguously.
+        kernel.thread_count() as u64,
+    ]);
+    h.finish()
 }
 
 /// A pending DFS subtree, frozen at a decision point of depth
@@ -474,6 +542,11 @@ struct SubtreeTask {
     index: u64,
     path: Schedule,
     hashes: PathSet,
+    /// Whether a checkpointed ancestor was open when the task froze.
+    /// A sequential search then rewinds whatever the subtree's final
+    /// branches leave in the undo log at that ancestor's restore, so the
+    /// subtree replays it itself to keep `undo_replayed` split-blind.
+    rewound: bool,
 }
 
 /// Where the sequential expansion stood when a subtree was spawned, so
@@ -548,6 +621,9 @@ pub(crate) struct Explorer<'a> {
     snapshot_bytes: u64,
     states_deduped: u64,
     rseq_aborts: u64,
+    /// Checkpointed branches currently on the DFS path (their restores
+    /// are still to come).
+    open_checkpoints: u32,
     /// Recycled race-detector scratch snapshots, roughly one per DFS
     /// depth. [`RaceDetector::snapshot_into`] refills a pooled scratch
     /// in place, so interior decision points stop paying the detector's
@@ -599,6 +675,7 @@ impl<'a> Explorer<'a> {
             snapshot_bytes: 0,
             states_deduped: 0,
             rseq_aborts: 0,
+            open_checkpoints: 0,
             det_pool: Vec::new(),
             cp_pool: Vec::new(),
             choice_pool: Vec::new(),
@@ -765,6 +842,7 @@ impl<'a> Explorer<'a> {
                     index,
                     path: path.clone(),
                     hashes: hashes.clone(),
+                    rewound: self.open_checkpoints > 0,
                 });
                 return;
             }
@@ -822,7 +900,7 @@ impl<'a> Explorer<'a> {
             return;
         }
         let h = state_hash(kernel);
-        if hashes.contains(h) {
+        if !hashes.insert(h) {
             // An exact state repeat on this path: a spin under an unfair
             // schedule. The suffix explores nothing new.
             self.schedules += 1;
@@ -832,7 +910,6 @@ impl<'a> Explorer<'a> {
             self.sig_pool.push(sleep);
             return;
         }
-        hashes.insert(h);
 
         // Enumerate choices: the default first. The choice and sleep-set
         // buffers come from per-depth recycling pools — a decision point
@@ -903,6 +980,7 @@ impl<'a> Explorer<'a> {
                 let det0 = self.save_detector(det);
                 self.checkpoints += 1;
                 self.snapshot_bytes += cp.approx_bytes();
+                self.open_checkpoints += 1;
                 self.branch(
                     kernel,
                     det,
@@ -916,6 +994,7 @@ impl<'a> Explorer<'a> {
                     path,
                     hashes,
                 );
+                self.open_checkpoints -= 1;
                 self.undo_replayed += kernel.restore(&cp);
                 self.cp_pool.push(cp);
                 self.restore_detector(det, det0);
@@ -1165,11 +1244,10 @@ impl<'a> Explorer<'a> {
                         return None;
                     }
                     let h = state_hash(&k);
-                    if hashes.contains(h) {
+                    if !hashes.insert(h) {
                         self.states_deduped += 1;
                         return None;
                     }
-                    hashes.insert(h);
                     match apply_step(&mut k, &mut det) {
                         StepOutcome::Ran { .. } | StepOutcome::Idled => {}
                         StepOutcome::Completed => return k.read_word(self.counter_addr).ok(),
@@ -1238,11 +1316,10 @@ impl<'a> Explorer<'a> {
                         return vec![DiagKind::LivelockSuspect];
                     }
                     let h = state_hash(&kernel);
-                    if hashes.contains(h) {
+                    if !hashes.insert(h) {
                         self.states_deduped += 1;
                         return Vec::new(); // spin cycle under defaults: benign
                     }
-                    hashes.insert(h);
                     match schedule.decision_at(index) {
                         Some(Decision::Preempt(u)) => {
                             if kernel.preempt_current() {
@@ -1325,7 +1402,9 @@ impl<'a> Explorer<'a> {
             index,
             mut path,
             mut hashes,
+            rewound,
         } = task;
+        let root = rewound.then(|| kernel.checkpoint());
         self.dfs(
             &mut kernel,
             &mut det,
@@ -1336,6 +1415,9 @@ impl<'a> Explorer<'a> {
             &mut path,
             &mut hashes,
         );
+        if let Some(cp) = root {
+            self.undo_replayed += kernel.restore(&cp);
+        }
         SubtreeOutcome {
             schedules: self.schedules,
             pruned: self.pruned,
@@ -1671,8 +1753,78 @@ pub fn counterexample_trace(
 
 #[cfg(test)]
 mod tests {
-    use super::thread_state_words;
+    use super::*;
     use ras_kernel::ThreadState;
+
+    /// The checkpoint counters of one report.
+    fn counters(r: &TargetReport) -> [u64; 4] {
+        [
+            r.checkpoints,
+            r.undo_replayed,
+            r.snapshot_bytes,
+            r.states_deduped,
+        ]
+    }
+
+    /// Root-splitting moves the last branches of each subtree onto
+    /// another explorer; the undo entries they leave are still counted
+    /// once, so every checkpoint counter equals the sequential search's.
+    #[test]
+    fn split_searches_count_checkpoint_work_like_the_sequential_one() {
+        let all = ModelTarget::all();
+        // Every target at the default split on two workers, then a
+        // shallower and a deeper split point on three.
+        let mut cases: Vec<(ModelTarget, u32, usize)> = all.iter().map(|&t| (t, 3, 2)).collect();
+        cases.push((all[0], 1, 3));
+        cases.push((all[all.len() - 1], 5, 3));
+        for (target, depth, workers) in cases {
+            let config = CheckConfig {
+                split_depth: depth,
+                ..CheckConfig::default()
+            };
+            assert_eq!(
+                counters(&check_target_split(target, &config, workers)),
+                counters(&check_target(target, &config)),
+                "{target} at split depth {depth} on {workers} workers"
+            );
+        }
+    }
+
+    /// The state hash before the multi-lane rewrite: FNV-1a over whole
+    /// words, with no finalizer.
+    fn fnv_fold(words: &[u64]) -> u64 {
+        words.iter().fold(0xcbf2_9ce4_8422_2325, |h, &w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    fn lane_fold(words: &[u64]) -> u64 {
+        let mut h = LaneHash::new();
+        for quad in words.chunks_exact(LANES) {
+            h.absorb(quad.try_into().expect("a whole quad"));
+        }
+        h.finish()
+    }
+
+    /// [`PathSet`] slots are the hash's low bits. A multiply only carries
+    /// differences upward, so under the old fold states differing only
+    /// in high bits shared a probe chain; the finalizer fixes that.
+    #[test]
+    fn high_bit_differences_reach_the_slot_bits() {
+        let low8 = |h: u64| h & 0xff;
+        let (mut lane_moved, mut fnv_moved) = (0, 0);
+        for i in 0..256u64 {
+            // Register-like inputs: small values.
+            let words: [u64; 8] = std::array::from_fn(|k| (i * 8 + k as u64) * 0x9E37 % 5000);
+            let mut flipped = words;
+            flipped[(i % 8) as usize] ^= 1 << 31;
+            assert_ne!(lane_fold(&words), lane_fold(&flipped), "input {i}");
+            lane_moved += usize::from(low8(lane_fold(&words)) != low8(lane_fold(&flipped)));
+            fnv_moved += usize::from(low8(fnv_fold(&words)) != low8(fnv_fold(&flipped)));
+        }
+        assert_eq!(fnv_moved, 0, "the old fold never moves the low bits");
+        assert!(lane_moved >= 250, "only {lane_moved} of 256 moved");
+    }
 
     /// The regression the split hashing fixes: the old packing
     /// `5 | (until << 8)` shifted the deadline's top 8 bits out of the

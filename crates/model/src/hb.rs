@@ -24,8 +24,14 @@
 //! sanitizer then correctly reports the lock word itself as racy, which
 //! is precisely the paper's §2 hazard seen through the lens of
 //! happens-before.
-
-use std::collections::HashMap;
+//!
+//! All per-word and per-thread tables are flat `Vec`s: word state is
+//! indexed by `addr / 4` (shared data is a handful of words below
+//! `data_end`, so the table stays tiny), exit clocks and pending joins by
+//! thread id. A table grows on first touch, and an untouched slot holds
+//! the same state a fresh entry would, so indexing never changes a
+//! verdict — and [`RaceDetector::snapshot_into`] copies each table with
+//! `clone_from`, reusing every buffer of the pooled scratch.
 
 use ras_isa::SeqRange;
 use ras_kernel::ThreadId;
@@ -52,7 +58,7 @@ fn vc_leq(a: &Vc, b: &Vc) -> bool {
         .all(|(i, &v)| v <= b.get(i).copied().unwrap_or(0))
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct WordState {
     /// Clock of the last write per thread.
     writes: Vc,
@@ -66,6 +72,30 @@ struct WordState {
     last_read_pc: u32,
     /// Observed to be accessed atomically at least once.
     sync: bool,
+}
+
+impl Clone for WordState {
+    fn clone(&self) -> WordState {
+        WordState {
+            writes: self.writes.clone(),
+            reads: self.reads.clone(),
+            lock: self.lock.clone(),
+            last_write_pc: self.last_write_pc,
+            last_read_pc: self.last_read_pc,
+            sync: self.sync,
+        }
+    }
+
+    /// Field-wise, so the three clocks keep their buffers: the derived
+    /// `clone_from` would allocate fresh ones at every snapshot.
+    fn clone_from(&mut self, source: &WordState) {
+        self.writes.clone_from(&source.writes);
+        self.reads.clone_from(&source.reads);
+        self.lock.clone_from(&source.lock);
+        self.last_write_pc = source.last_write_pc;
+        self.last_read_pc = source.last_read_pc;
+        self.sync = source.sync;
+    }
 }
 
 /// A detected data race: two unordered plain accesses, at least one a
@@ -88,9 +118,12 @@ pub struct Race {
 #[derive(Debug, Clone)]
 pub struct RaceDetector {
     clocks: Vec<Vc>,
-    words: HashMap<u32, WordState>,
-    exit_vcs: HashMap<ThreadId, Vc>,
-    pending_join: HashMap<ThreadId, ThreadId>,
+    /// Per shared word, indexed by `addr / 4`.
+    words: Vec<WordState>,
+    /// Final clock of each exited thread, indexed by thread id.
+    exit_vcs: Vec<Option<Vc>>,
+    /// The thread each blocked joiner waits for, indexed by joiner id.
+    pending_join: Vec<Option<ThreadId>>,
     protected: Vec<SeqRange>,
     data_end: u32,
     races: Vec<Race>,
@@ -104,9 +137,9 @@ impl RaceDetector {
     pub fn new(protected: Vec<SeqRange>, data_end: u32) -> RaceDetector {
         RaceDetector {
             clocks: vec![vec![1]],
-            words: HashMap::new(),
-            exit_vcs: HashMap::new(),
-            pending_join: HashMap::new(),
+            words: Vec::new(),
+            exit_vcs: Vec::new(),
+            pending_join: Vec::new(),
             protected,
             data_end,
             races: Vec::new(),
@@ -142,25 +175,35 @@ impl RaceDetector {
     /// Exit edge: remember the thread's final clock for joiners.
     pub fn on_exit(&mut self, t: ThreadId) {
         self.ensure_thread(t);
-        self.exit_vcs.insert(t, self.clocks[t.0 as usize].clone());
+        let idx = t.0 as usize;
+        if self.exit_vcs.len() <= idx {
+            self.exit_vcs.resize(idx + 1, None);
+        }
+        self.exit_vcs[idx] = Some(self.clocks[idx].clone());
     }
 
     /// The waiter blocked joining `target`; the edge lands when the
     /// waiter next runs.
     pub fn on_join_block(&mut self, waiter: ThreadId, target: ThreadId) {
-        self.pending_join.insert(waiter, target);
+        let idx = waiter.0 as usize;
+        if self.pending_join.len() <= idx {
+            self.pending_join.resize(idx + 1, None);
+        }
+        self.pending_join[idx] = Some(target);
     }
 
     /// Called when `t` is dispatched: applies a pending join edge if the
     /// joined thread has exited.
     pub fn on_dispatch(&mut self, t: ThreadId) {
         self.ensure_thread(t);
-        if let Some(target) = self.pending_join.get(&t).copied() {
-            if let Some(exit_vc) = self.exit_vcs.get(&target).cloned() {
-                self.pending_join.remove(&t);
-                vc_join(&mut self.clocks[t.0 as usize], &exit_vc);
-                self.bump(t);
-            }
+        let idx = t.0 as usize;
+        let Some(target) = self.pending_join.get(idx).copied().flatten() else {
+            return;
+        };
+        if let Some(Some(exit_vc)) = self.exit_vcs.get(target.0 as usize) {
+            self.pending_join[idx] = None;
+            vc_join(&mut self.clocks[idx], exit_vc);
+            self.bump(t);
         }
     }
 
@@ -169,14 +212,22 @@ impl RaceDetector {
     }
 
     /// Feeds one logged access by thread `t`.
+    ///
+    /// Accesses at or above `data_end` (thread stacks) are ignored, and
+    /// so are unaligned ones: they fault (or, for the kernel's emulated
+    /// Test-And-Set, read and write nothing), so they touch no word.
     pub fn on_access(&mut self, t: ThreadId, acc: &MemAccess) {
-        if acc.addr >= self.data_end {
-            return; // thread-private stack
+        if acc.addr >= self.data_end || !acc.addr.is_multiple_of(4) {
+            return;
         }
         self.ensure_thread(t);
         let sync = acc.atomic || self.is_protected(acc.pc);
         let idx = t.0 as usize;
-        let word = self.words.entry(acc.addr).or_default();
+        let slot = (acc.addr / 4) as usize;
+        if self.words.len() <= slot {
+            self.words.resize_with(slot + 1, WordState::default);
+        }
+        let word = &mut self.words[slot];
         if sync {
             word.sync = true;
         }
@@ -187,14 +238,12 @@ impl RaceDetector {
             match acc.kind {
                 AccessKind::Load => vc_join(&mut self.clocks[idx], &word.lock),
                 AccessKind::Store => {
-                    let vc = self.clocks[idx].clone();
-                    vc_join(&mut word.lock, &vc);
+                    vc_join(&mut word.lock, &self.clocks[idx]);
                     self.bump(t);
                 }
                 AccessKind::Rmw => {
                     vc_join(&mut self.clocks[idx], &word.lock);
-                    let vc = self.clocks[idx].clone();
-                    vc_join(&mut word.lock, &vc);
+                    vc_join(&mut word.lock, &self.clocks[idx]);
                     self.bump(t);
                 }
             }
@@ -255,39 +304,9 @@ impl RaceDetector {
     /// scratch detector per tree depth turns ~50 small allocations per
     /// snapshot into approximately none once the pool is warm.
     pub fn snapshot_into(&self, dst: &mut RaceDetector) {
-        let keep = dst.clocks.len().min(self.clocks.len());
-        dst.clocks.truncate(self.clocks.len());
-        for i in 0..keep {
-            dst.clocks[i].clone_from(&self.clocks[i]);
-        }
-        for vc in &self.clocks[keep..] {
-            dst.clocks.push(vc.clone());
-        }
-        dst.words.retain(|addr, _| self.words.contains_key(addr));
-        for (addr, word) in &self.words {
-            match dst.words.get_mut(addr) {
-                Some(d) => {
-                    d.writes.clone_from(&word.writes);
-                    d.reads.clone_from(&word.reads);
-                    d.lock.clone_from(&word.lock);
-                    d.last_write_pc = word.last_write_pc;
-                    d.last_read_pc = word.last_read_pc;
-                    d.sync = word.sync;
-                }
-                None => {
-                    dst.words.insert(*addr, word.clone());
-                }
-            }
-        }
-        dst.exit_vcs.retain(|t, _| self.exit_vcs.contains_key(t));
-        for (t, vc) in &self.exit_vcs {
-            match dst.exit_vcs.get_mut(t) {
-                Some(d) => d.clone_from(vc),
-                None => {
-                    dst.exit_vcs.insert(*t, vc.clone());
-                }
-            }
-        }
+        dst.clocks.clone_from(&self.clocks);
+        dst.words.clone_from(&self.words);
+        dst.exit_vcs.clone_from(&self.exit_vcs);
         dst.pending_join.clone_from(&self.pending_join);
         dst.protected.clone_from(&self.protected);
         dst.data_end = self.data_end;
@@ -416,6 +435,21 @@ mod tests {
         d.on_dispatch(ThreadId(0));
         d.on_access(ThreadId(0), &acc(30, 8, AccessKind::Load, false));
         assert!(d.take_races().is_empty());
+    }
+
+    #[test]
+    fn unaligned_accesses_do_not_alias_their_word() {
+        // The kernel logs an emulated Test-And-Set on a garbage unaligned
+        // address; it touched nothing, so it must not turn word 4 into a
+        // sync word and hide the plain write-write race on it.
+        let mut d = RaceDetector::new(Vec::new(), 4096);
+        d.on_spawn(ThreadId(0), ThreadId(1));
+        d.on_access(ThreadId(0), &acc(10, 4, AccessKind::Store, false));
+        d.on_access(ThreadId(1), &acc(20, 5, AccessKind::Rmw, true));
+        d.on_access(ThreadId(1), &acc(21, 4, AccessKind::Store, false));
+        let races = d.take_races();
+        assert_eq!(races.len(), 1);
+        assert_eq!(races[0].addr, 4);
     }
 
     #[test]

@@ -60,8 +60,9 @@ impl PathSet {
     }
 
     fn slot_of(&self, key: u64) -> usize {
-        // The stored hashes are already well-mixed (splitmix-finalized), so
-        // masking the low bits is a fine slot function.
+        // The explorer's state hashes end in the splitmix64 finalizer, so
+        // every state bit reaches the low bits and masking them is a fine
+        // slot function.
         (key as usize) & self.mask
     }
 
